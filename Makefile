@@ -55,6 +55,7 @@ cluster-smoke:
 # count (the internal/par determinism contract). The stable metric and
 # trace dumps (-metrics-out/-trace-out) are under the same contract: the
 # simulator feeds the registry from virtual time, never the wall clock.
+# The repro-all leg also exercises its positional experiment selector.
 determinism:
 	$(GO) run ./cmd/serve-campaign -quick -workers 1 \
 		-metrics-out /tmp/serve.w1.metrics -trace-out /tmp/serve.w1.traces > /tmp/serve.w1.txt
@@ -84,6 +85,9 @@ determinism:
 	$(GO) run ./cmd/bench-report -quick -workers 1 > /tmp/bench.w1.txt
 	$(GO) run ./cmd/bench-report -quick -workers 4 > /tmp/bench.w4.txt
 	cmp /tmp/bench.w1.txt /tmp/bench.w4.txt
+	$(GO) run ./cmd/repro-all -quick -workers 1 F1 F2 T1 > /tmp/repro.w1.txt
+	$(GO) run ./cmd/repro-all -quick -workers 4 F1 F2 T1 > /tmp/repro.w4.txt
+	cmp /tmp/repro.w1.txt /tmp/repro.w4.txt
 
 # Observability smoke: boot the campaign with the HTTP endpoint up and probe
 # /metrics, /traces and /debug/pprof/profile in-process; diff the stable

@@ -108,8 +108,6 @@ func TestBudgetedSelectsEnginePath(t *testing.T) {
 		"backward_parallel_1024":        true,
 		"update_parallel_128":           true,
 		"forward_batch_parallel_1024x8": true,
-		"update_batch_seq_512x8":        false,
-		"update_batch_fused_512x8":      true,
 		"forward_serial_512":            false,
 		"update_serial_512":             false,
 		"forward_batch_serial_1024x8":   false,

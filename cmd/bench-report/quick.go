@@ -84,12 +84,5 @@ func printChecksums(w io.Writer, workers int) {
 			h = sumVec(h, y)
 		}
 		fmt.Fprintf(w, "%-18s %6d %18x\n", "forward-batch", n, h)
-
-		// The fused multi-sample update on a fresh array: the line pins the
-		// batched tile pass's full post-update device state across worker
-		// counts, the same contract the scalar update lines carry.
-		ub := newArray(n, false)
-		ub.UpdateBatch(0.001, xs[:4], xs[4:8])
-		fmt.Fprintf(w, "%-18s %6d %18x\n", "update-batch", n, stateSum(ub))
 	}
 }

@@ -1,10 +1,13 @@
-// Command repro-all runs the complete experiment registry (every figure,
-// claim, and table of the paper) and writes the results to stdout — the
-// harness used to produce EXPERIMENTS.md.
+// Command repro-all runs the experiment registry (every figure, claim, and
+// table of the paper) and writes the results to stdout — the harness used
+// to produce EXPERIMENTS.md. Positional arguments select experiments by ID,
+// run in the order given (e.g. `repro-all -quick F1 C0`); with none, every
+// experiment runs in ID order.
 package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 
@@ -21,6 +24,10 @@ func main() {
 	workers := flag.Int("workers", 0, "tile-engine worker count (0 = all CPUs); any value yields bit-identical output")
 	var hook obs.Hook
 	hook.BindFlags(flag.CommandLine)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: repro-all [flags] [experiment IDs...]\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	par.SetWorkers(*workers)
 	if err := hook.Start(); err != nil {
@@ -28,7 +35,12 @@ func main() {
 	}
 	par.Instrument(hook.Registry)
 
-	err := core.RunAll(os.Stdout, *seed, *quick)
+	var err error
+	if ids := flag.Args(); len(ids) > 0 {
+		err = core.Run(os.Stdout, ids, *seed, *quick)
+	} else {
+		err = core.RunAll(os.Stdout, *seed, *quick)
+	}
 	if ferr := hook.Finish(); err == nil {
 		err = ferr
 	}

@@ -81,5 +81,5 @@ func main() {
 	cmp := xmann.Compare([]xmann.Workload{w}, xmann.DefaultParams(), perfmodel.DefaultGPU())[0]
 	fmt.Printf("\naccelerating this machine's memory ops (X-MANN model vs GPU):\n")
 	fmt.Printf("  speedup %.1fx, energy reduction %.1fx per inference\n", cmp.Speedup, cmp.EnergyRatio)
-	fmt.Println("  (tiny memories are launch-overhead wins; see cmd/xmann-bench for the suite)")
+	fmt.Println("  (tiny memories are launch-overhead wins; see `repro-all T1` for the suite)")
 }

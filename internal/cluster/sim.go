@@ -181,8 +181,7 @@ type sim struct {
 	ids      int64
 	reqIdx   int
 	disposed map[int64]bool
-	latWin   []float64 // recent reply latencies for the hedge estimator
-	latNext  int
+	lat      obs.Window // recent reply latencies for the hedge estimator
 
 	shardServed []int64
 	m           Metrics
@@ -205,6 +204,7 @@ func RunClusterSim(cfg SimConfig) Metrics {
 		thinkRN:     cfg.RNG.Child("think"),
 		horizon:     cfg.Duration + 0.2,
 		disposed:    map[int64]bool{},
+		lat:         obs.NewWindow(64),
 		shardServed: make([]int64, cfg.Placement.Shards),
 	}
 	memberIDs := make([]int, cfg.Nodes)
@@ -453,26 +453,13 @@ func (s *sim) dispatch(t float64, req *cReq, nodeID int, isHedge bool) {
 // clamped to [HedgeMin, Deadline/2].
 func (s *sim) hedgeDelay() float64 {
 	d := s.pol.HedgeMin
-	if len(s.latWin) > 0 {
-		q := obs.Quantile(append([]float64(nil), s.latWin...), s.pol.HedgeQuantile)
-		if q > d {
-			d = q
-		}
+	if q := s.lat.Quantile(s.pol.HedgeQuantile); q > d {
+		d = q
 	}
 	if max := s.pol.Deadline / 2; d > max {
 		d = max
 	}
 	return d
-}
-
-func (s *sim) observeLatency(l float64) {
-	const window = 64
-	if len(s.latWin) < window {
-		s.latWin = append(s.latWin, l)
-		return
-	}
-	s.latWin[s.latNext] = l
-	s.latNext = (s.latNext + 1) % window
 }
 
 func (s *sim) onReqAtNode(t float64, att *attempt) {
@@ -487,7 +474,7 @@ func (s *sim) onReqAtNode(t float64, att *attempt) {
 	if n.freeAt > start {
 		start = n.freeAt
 	}
-	dur := s.cfg.Lat.AttemptDuration(s.latRN, false)
+	dur := s.cfg.Lat.Attempt(s.latRN, false)
 	if n.slow > 0 && s.cfg.Plan.SlowFactor > 1 {
 		dur *= s.cfg.Plan.SlowFactor
 	}
@@ -529,7 +516,7 @@ func (s *sim) onReply(t float64, att *attempt) {
 		s.m.DupReplies++
 		return
 	}
-	s.observeLatency(t - att.sentAt)
+	s.lat.Add(t - att.sentAt)
 	stale := att.ver < req.stampVer
 	if stale && s.pol.VersionCheck {
 		s.m.StaleRejected++

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Experiment is one reproducible paper artifact.
@@ -54,10 +55,33 @@ func Lookup(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// RunAll executes every experiment in ID order, writing section headers
-// between them.
-func RunAll(w io.Writer, seed uint64, quick bool) error {
+// allIDs returns every registered experiment ID in order.
+func allIDs() []string {
+	var out []string
 	for _, e := range Registry() {
+		out = append(out, e.ID)
+	}
+	return out
+}
+
+// RunAll executes every experiment in ID order.
+func RunAll(w io.Writer, seed uint64, quick bool) error {
+	return Run(w, allIDs(), seed, quick)
+}
+
+// Run executes the named experiments in argument order, writing a section
+// header before each. Every ID is resolved before anything runs, so an
+// unknown ID fails without output; its error lists the valid IDs.
+func Run(w io.Writer, ids []string, seed uint64, quick bool) error {
+	exps := make([]Experiment, len(ids))
+	for i, id := range ids {
+		e, ok := registry[id]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(allIDs(), " "))
+		}
+		exps[i] = e
+	}
+	for _, e := range exps {
 		fmt.Fprintf(w, "\n=== %s: %s ===\npaper: %s\n\n", e.ID, e.Title, e.PaperClaim)
 		if err := e.Run(w, seed, quick); err != nil {
 			return fmt.Errorf("experiment %s: %w", e.ID, err)

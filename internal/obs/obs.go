@@ -178,11 +178,7 @@ func (r *Registry) Histogram(name, help string, window int) *Histogram {
 		return nil
 	}
 	m := r.register(name, func() metric {
-		h := &Histogram{help: help, window: window}
-		if window > 0 {
-			h.samples = make([]float64, 0, window)
-		}
-		return h
+		return &Histogram{help: help, win: NewWindow(window)}
 	})
 	h, ok := m.(*Histogram)
 	if !ok {
@@ -334,13 +330,11 @@ func (g *Gauge) write(w io.Writer, family, labels string) {
 type Histogram struct {
 	help     string
 	volatile bool
-	window   int
 
-	mu      sync.Mutex
-	samples []float64
-	next    int // ring cursor (windowed mode)
-	count   int64
-	sum     float64
+	mu    sync.Mutex
+	win   Window
+	count int64
+	sum   float64
 }
 
 // Volatile marks the histogram wall-clock-fed and returns it.
@@ -359,12 +353,7 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	h.count++
 	h.sum += v
-	if h.window <= 0 || len(h.samples) < h.window {
-		h.samples = append(h.samples, v)
-	} else {
-		h.samples[h.next] = v
-		h.next = (h.next + 1) % h.window
-	}
+	h.win.Add(v)
 	h.mu.Unlock()
 }
 
@@ -396,9 +385,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	h.mu.Lock()
-	s := append([]float64(nil), h.samples...)
-	h.mu.Unlock()
-	return Quantile(s, q)
+	defer h.mu.Unlock()
+	return h.win.Quantile(q)
 }
 
 func (h *Histogram) kindOf() metricKind { return kindHistogram }
@@ -410,7 +398,7 @@ var summaryQuantiles = []float64{0.5, 0.9, 0.99}
 
 func (h *Histogram) write(w io.Writer, family, labels string) {
 	h.mu.Lock()
-	s := append([]float64(nil), h.samples...)
+	s := append([]float64(nil), h.win.samples...)
 	count, sum := h.count, h.sum
 	h.mu.Unlock()
 	sort.Float64s(s)

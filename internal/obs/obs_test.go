@@ -89,6 +89,64 @@ func TestCounterGauge(t *testing.T) {
 	r.Gauge("c_total", "wrong kind")
 }
 
+// TestWindowQuantileEdges runs the window's nearest-rank quantile over
+// the edge inputs: empty, capacity 1, a single sample, and a window filled
+// exactly to capacity (cursor wrapped to 0, nothing evicted yet).
+func TestWindowQuantileEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		add      []float64
+		want     map[float64]float64 // q → quantile
+	}{
+		{"empty", 4, nil, map[float64]float64{0: 0, 0.5: 0, 1: 0}},
+		{"single", 4, []float64{7}, map[float64]float64{0: 7, 0.5: 7, 0.99: 7, 1: 7}},
+		{"capacity-1", 1, []float64{5, 2, 8}, map[float64]float64{0: 8, 0.5: 8, 1: 8}},
+		// nearest rank p50: ceil(0.5*4) = 2nd of {1,3,7,9}
+		{"full", 4, []float64{7, 3, 9, 1}, map[float64]float64{0: 1, 0.5: 3, 1: 9}},
+	} {
+		w := NewWindow(tc.capacity)
+		for _, v := range tc.add {
+			w.Add(v)
+		}
+		for q, want := range tc.want {
+			if got := w.Quantile(q); got != want {
+				t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestWindowWraparound pins eviction past capacity — the oldest samples
+// go, and quantiles do not depend on where the ring cursor sits — and
+// that capacity 0 keeps every sample.
+func TestWindowWraparound(t *testing.T) {
+	w := NewWindow(4)
+	for i := 1; i <= 10; i++ { // retained after wrap: {7, 8, 9, 10}
+		w.Add(float64(i))
+	}
+	inOrder := NewWindow(4)
+	for _, v := range []float64{10, 7, 9, 8} {
+		inOrder.Add(v)
+	}
+	// ceil(0.75*4) = 3rd of {7,8,9,10}
+	for q, want := range map[float64]float64{0: 7, 0.25: 7, 0.5: 8, 0.75: 9, 1: 10} {
+		if got := w.Quantile(q); got != want {
+			t.Errorf("post-wrap Quantile(%v) = %v, want %v", q, got, want)
+		}
+		if got := inOrder.Quantile(q); got != want {
+			t.Errorf("unwrapped Quantile(%v) = %v, want %v", q, got, want)
+		}
+	}
+	all := NewWindow(0)
+	for i := 100; i >= 1; i-- {
+		all.Add(float64(i))
+	}
+	if got := all.Quantile(0); got != 1 {
+		t.Errorf("capacity-0 min = %v, want 1 (every sample kept)", got)
+	}
+}
+
 func TestHistogramWindowRing(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h_seconds", "help", 4)

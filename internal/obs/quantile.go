@@ -44,3 +44,40 @@ func Quantile(samples []float64, q float64) float64 {
 	sort.Float64s(s)
 	return NearestRank(s, q)
 }
+
+// Window keeps the most recent samples of a stream in a ring and answers
+// nearest-rank quantiles over them — the hedging window of the serve
+// replicas and the cluster router, and the retained set of a Histogram.
+// Capacity 0 keeps every sample. A Window is not safe for concurrent use;
+// callers that share one hold their own lock.
+type Window struct {
+	capacity int
+	samples  []float64
+	next     int // ring cursor once full
+}
+
+// NewWindow returns a window retaining the last capacity samples (every
+// sample when capacity is 0).
+func NewWindow(capacity int) Window {
+	w := Window{capacity: capacity}
+	if capacity > 0 {
+		w.samples = make([]float64, 0, capacity)
+	}
+	return w
+}
+
+// Add folds one sample in, evicting the oldest once the window is full.
+func (w *Window) Add(v float64) {
+	if w.capacity <= 0 || len(w.samples) < w.capacity {
+		w.samples = append(w.samples, v)
+		return
+	}
+	w.samples[w.next] = v
+	w.next = (w.next + 1) % w.capacity
+}
+
+// Quantile reports the nearest-rank q-th quantile of the retained samples,
+// 0 when empty.
+func (w *Window) Quantile(q float64) float64 {
+	return Quantile(w.samples, q)
+}

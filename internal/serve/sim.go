@@ -66,15 +66,10 @@ func DefaultLatencyModel() LatencyModel {
 	}
 }
 
-// AttemptDuration draws one service-time sample from the model — the
-// shared hot path of this simulator and the fleet simulator in
-// internal/cluster, which prices node-local service time with the same
-// distribution.
-func (m LatencyModel) AttemptDuration(rng *rngutil.Source, verify bool) float64 {
-	return m.attempt(rng, verify)
-}
-
-func (m LatencyModel) attempt(rng *rngutil.Source, verify bool) float64 {
+// Attempt draws one service-time sample from the model — the shared hot
+// path of this simulator and the fleet simulator in internal/cluster,
+// which prices node-local service time with the same distribution.
+func (m LatencyModel) Attempt(rng *rngutil.Source, verify bool) float64 {
 	d := m.Base * math.Exp(rng.Normal(0, m.Jitter))
 	if m.TailProb > 0 && rng.Bernoulli(m.TailProb) {
 		d *= m.TailMult
@@ -426,7 +421,7 @@ func (s *sim) dispatch(t float64, req *simReq, rep *simReplica, isHedge bool) {
 		req.span.Stage("dispatch", t)
 	}
 	y, ok := rep.Infer(req.X, s.cfg.Policy.VerifyReads)
-	dur := s.cfg.Lat.attempt(s.latRN, s.cfg.Policy.VerifyReads)
+	dur := s.cfg.Lat.Attempt(s.latRN, s.cfg.Policy.VerifyReads)
 	rep.freeAt = t + dur
 	att := &simAttempt{req: req, rep: rep, dur: dur, correct: y.ArgMax() == req.Want, ok: ok,
 		span: req.span.Child(attName, t)}
@@ -581,7 +576,7 @@ func (s *sim) dispatchBatch(t float64, batch []*simReq, rep *simReplica) {
 		xs[i] = req.X
 	}
 	ys, oks := rep.InferBatch(xs, s.cfg.Policy.VerifyReads)
-	dur := s.cfg.Lat.attempt(s.latRN, s.cfg.Policy.VerifyReads)
+	dur := s.cfg.Lat.Attempt(s.latRN, s.cfg.Policy.VerifyReads)
 	dur *= 1 + s.cfg.Lat.BatchPerExtra*float64(len(batch)-1)
 	rep.freeAt = t + dur
 	for i, req := range batch {
