@@ -55,7 +55,8 @@ cluster-smoke:
 # count (the internal/par determinism contract). The stable metric and
 # trace dumps (-metrics-out/-trace-out) are under the same contract: the
 # simulator feeds the registry from virtual time, never the wall clock.
-# The repro-all leg also exercises its positional experiment selector.
+# The repro-all leg also exercises its positional experiment selector; the
+# fault-campaign leg drives Program/ProgramVerify through the fault engine.
 determinism:
 	$(GO) run ./cmd/serve-campaign -quick -workers 1 \
 		-metrics-out /tmp/serve.w1.metrics -trace-out /tmp/serve.w1.traces > /tmp/serve.w1.txt
@@ -82,6 +83,9 @@ determinism:
 		-metrics-out /tmp/cluster.w4.metrics > /tmp/cluster.w4.txt
 	cmp /tmp/cluster.w1.txt /tmp/cluster.w4.txt
 	cmp /tmp/cluster.w1.metrics /tmp/cluster.w4.metrics
+	$(GO) run ./cmd/fault-campaign -quick -workers 1 > /tmp/faults.w1.txt
+	$(GO) run ./cmd/fault-campaign -quick -workers 4 > /tmp/faults.w4.txt
+	cmp /tmp/faults.w1.txt /tmp/faults.w4.txt
 	$(GO) run ./cmd/bench-report -quick -workers 1 > /tmp/bench.w1.txt
 	$(GO) run ./cmd/bench-report -quick -workers 4 > /tmp/bench.w4.txt
 	cmp /tmp/bench.w1.txt /tmp/bench.w4.txt

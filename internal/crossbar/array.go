@@ -569,14 +569,13 @@ func (a *Array) updateStochastic(scale float64, u, v tensor.Vector) {
 				continue
 			}
 			upRow := math.Signbit(u[i]) == sgnScale // sign(u_i·scale) > 0
-			base := i * cols
 			for j := 0; j < cols; j++ {
 				k := bits.OnesCount64(rt & colTrains[j])
 				if k == 0 {
 					continue
 				}
 				up := upRow == !math.Signbit(v[j]) // XOR with sign(v_j)
-				n += a.pulseFrom(rng, base+j, k, up)
+				n += a.pulseFrom(rng, i, j, k, up)
 			}
 		}
 		return n
@@ -744,7 +743,6 @@ func (a *Array) updateExpected(scale float64, u, v tensor.Vector) {
 			if ui == 0 {
 				continue
 			}
-			base := i * a.cols
 			su := scale * ui
 			for j, vj := range v {
 				if vj == 0 {
@@ -759,23 +757,24 @@ func (a *Array) updateExpected(scale float64, u, v tensor.Vector) {
 				if k == 0 {
 					continue
 				}
-				pulses += a.pulseFrom(rng, base+j, k, target > 0)
+				pulses += a.pulseFrom(rng, i, j, k, target > 0)
 			}
 		}
 		return pulses
 	})
 }
 
-// pulseFrom applies k pulses to device idx (skipping stuck devices, routing
-// through the fault hook's write path), drawing cycle noise from rng, and
-// refreshes the weight mirror. It returns the pulses actually issued so
-// tile-parallel callers can reduce counts in deterministic order.
-func (a *Array) pulseFrom(rng *rngutil.Source, idx, k int, up bool) int64 {
+// pulseFrom applies k pulses to device (i, j) (skipping stuck devices,
+// routing through the fault hook's write path), drawing cycle noise from
+// rng, and refreshes the weight mirror. It returns the pulses actually
+// issued so tile-parallel callers can reduce counts in deterministic order.
+func (a *Array) pulseFrom(rng *rngutil.Source, i, j, k int, up bool) int64 {
+	idx := i*a.cols + j
 	if a.stuck[idx] {
 		return 0
 	}
 	if a.hook != nil {
-		k = a.hook.FilterPulses(a, idx/a.cols, idx%a.cols, k, up)
+		k = a.hook.FilterPulses(a, i, j, k, up)
 		if k <= 0 {
 			return 0
 		}
@@ -789,9 +788,9 @@ func (a *Array) pulseFrom(rng *rngutil.Source, idx, k int, up bool) int64 {
 // draws come from the array's own stream and the count lands directly on
 // Counts.Pulses. It settles any lazily deferred mirror state first, since
 // it pulses the device object directly.
-func (a *Array) pulse(idx, k int, up bool) {
+func (a *Array) pulse(i, j, k int, up bool) {
 	a.syncLin()
-	a.Counts.Pulses += a.pulseFrom(a.rng, idx, k, up)
+	a.Counts.Pulses += a.pulseFrom(a.rng, i, j, k, up)
 }
 
 // UpdateDeviceExact applies exactly k pulses in the given direction to
@@ -804,7 +803,7 @@ func (a *Array) UpdateDeviceExact(i, j, k int, up bool) {
 	if i < 0 || i >= a.rows || j < 0 || j >= a.cols {
 		panic(fmt.Sprintf("crossbar: UpdateDeviceExact index (%d,%d) out of %dx%d", i, j, a.rows, a.cols))
 	}
-	a.pulse(i*a.cols+j, k, up)
+	a.pulse(i, j, k, up)
 }
 
 // PulseAll applies n identical pulses to every (non-stuck) device — the
@@ -817,8 +816,10 @@ func (a *Array) PulseAll(n int, up bool) {
 }
 
 func (a *Array) pulseAll(n int, up bool) {
-	for idx := range a.dev {
-		a.pulse(idx, n, up)
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < a.cols; j++ {
+			a.pulse(i, j, n, up)
+		}
 	}
 }
 
@@ -922,25 +923,36 @@ func (a *Array) Program(target *tensor.Matrix, maxPulses int) (pulsesUsed int, r
 	return pulsesUsed, a.Residual(target)
 }
 
-// programDevice runs the write-verify loop on one yielding device: read,
-// compare against want, pulse toward it, stop when within one mean step or
-// when the pulse budget runs out. The controller aims at the nearest
-// representable weight — a target beyond the device bounds would otherwise
-// burn the whole budget pushing into the rail. Pulses are issued through
-// the fault-hook write path, so dropped writes consume budget — exactly the
-// closed-loop behaviour of a real programming controller. It reports pulses
-// attempted and the remaining error against the requested target.
+// programDevice runs the write-verify loop on one yielding device (callers
+// skip stuck ones): read, compare against want, pulse toward it, stop when
+// within one mean step or when the pulse budget runs out. The controller
+// aims at the nearest representable weight — a target beyond the device
+// bounds would otherwise burn the whole budget pushing into the rail.
+// Pulses are issued through the fault-hook write path, so dropped writes
+// consume budget — exactly the closed-loop behaviour of a real programming
+// controller. It reports pulses attempted and the remaining error against
+// the requested target.
+//
+// A device the hook reports as write-blocked (an open line) would spin
+// through the whole budget with every pulse dropped and the weight
+// unchanged; the loop asks once and charges maxPulses up front, which is
+// exactly what the spin computes (see FaultHook.WriteBlocked).
 func (a *Array) programDevice(idx int, want float64, maxPulses int) (pulses int, err float64) {
 	a.syncLin() // write-verify reads the device weight directly
 	dw := a.model.MeanStep()
 	aim := a.clampToBounds(want)
 	d := a.dev[idx]
+	i, j := idx/a.cols, idx%a.cols
+	if a.hook != nil && maxPulses > 0 && math.Abs(aim-d.Weight()) >= dw && a.hook.WriteBlocked(a, i, j, maxPulses) {
+		a.w.Data[idx] = d.Weight()
+		return maxPulses, math.Abs(want - d.Weight())
+	}
 	for p := 0; p < maxPulses; p++ {
 		diff := aim - d.Weight()
 		if math.Abs(diff) < dw {
 			break
 		}
-		a.pulse(idx, 1, diff > 0)
+		a.pulse(i, j, 1, diff > 0)
 		pulses++
 	}
 	a.w.Data[idx] = d.Weight()

@@ -41,7 +41,10 @@ func (k OpKind) String() string {
 // fixed sequence — for reads, BeginOp then FilterInput then FilterOutput;
 // for updates, BeginOp then zero or more FilterPulses — with no
 // interleaving from other operations on the same array, because Array is
-// single-writer.
+// single-writer. Programming (Program, ProgramVerify, ProgramDevice) opens
+// no op: it issues FilterPulses calls, and before each device's write-verify
+// loop at most one WriteBlocked query, which stands in for the loop's
+// FilterPulses calls when it returns true.
 // A hook shared by arrays driven from different goroutines must synchronize
 // its own internal state; the per-array call sequence remains well-formed
 // either way. See TestFaultHookOrdering.
@@ -61,6 +64,14 @@ type FaultHook interface {
 	// (write failure). Called for update, programming and maintenance
 	// pulses alike — a failing write path affects them all.
 	FilterPulses(a *Array, row, col, k int, up bool) int
+	// WriteBlocked reports whether FilterPulses would drop every pulse train
+	// to device (row, col) without drawing randomness, and keep doing so
+	// until the next BeginOp (an open line). When it returns true it must
+	// account for n dropped trains exactly as n such FilterPulses calls
+	// would, because the write-verify loop then skips those calls and
+	// charges its whole n-pulse budget at once. Returning false is always
+	// correct; it only costs the loop its shortcut.
+	WriteBlocked(a *Array, row, col, n int) bool
 	// FilterAdvance may rescale the time advanced by AdvanceTime
 	// (accelerated-aging campaigns return dt multiplied by a stress
 	// factor).
@@ -82,6 +93,9 @@ func (NopHook) FilterOutput(*Array, OpKind, tensor.Vector) {}
 
 // FilterPulses implements FaultHook.
 func (NopHook) FilterPulses(_ *Array, _, _, k int, _ bool) int { return k }
+
+// WriteBlocked implements FaultHook.
+func (NopHook) WriteBlocked(*Array, int, int, int) bool { return false }
 
 // FilterAdvance implements FaultHook.
 func (NopHook) FilterAdvance(_ *Array, dt float64) float64 { return dt }

@@ -99,7 +99,16 @@ func (d *pcmPair) Pulse(n int, up bool, rng *rngutil.Source) {
 		if headroom < 0 {
 			headroom = 0
 		}
-		step := d.p.DG * d.scale * math.Pow(headroom, d.p.Gamma)
+		// Gamma 2 (the default) squares instead of calling math.Pow, bit for
+		// bit the same: headroom is 0 or at least 2⁻⁵³ (1 − g/GMax is exact
+		// by Sterbenz once g/GMax ≥ ½), so the square never goes subnormal,
+		// and Pow with exponent 2 squares the frexp mantissa and rescales it
+		// exactly — one rounding of the same product either way.
+		sat := headroom * headroom
+		if d.p.Gamma != 2 {
+			sat = math.Pow(headroom, d.p.Gamma)
+		}
+		step := d.p.DG * d.scale * sat
 		if d.p.CycleNoise > 0 {
 			step *= 1 + rng.Normal(0, d.p.CycleNoise)
 		}

@@ -76,20 +76,43 @@ type Stats struct {
 	BlockedUpdates int64 // pulse trains blocked by open lines
 }
 
-// arrayState is the per-array campaign state (which lines have opened).
+// arrayState is the per-array campaign state: which lines have opened,
+// as dense per-line flags (sized to the array on first use) plus the
+// number of open rows and columns.
 type arrayState struct {
-	openRows map[int]bool
-	openCols map[int]bool
+	openRows, openCols []bool
+	nRows, nCols       int
+}
+
+func newArrayState(a *crossbar.Array) *arrayState {
+	return &arrayState{openRows: make([]bool, a.Rows()), openCols: make([]bool, a.Cols())}
+}
+
+// openRow marks row r open; reopening an open line changes nothing.
+func (s *arrayState) openRow(r int) {
+	if !s.openRows[r] {
+		s.openRows[r] = true
+		s.nRows++
+	}
+}
+
+// openCol marks column c open; reopening an open line changes nothing.
+func (s *arrayState) openCol(c int) {
+	if !s.openCols[c] {
+		s.openCols[c] = true
+		s.nCols++
+	}
 }
 
 // Engine is a seeded fault campaign bound to one or more arrays via
 // crossbar.SetFaultHook. One engine may drive several arrays (a session's
 // layers); the fault history is deterministic in (Plan, seed, call order).
 //
-// An Engine is not safe for concurrent use: it shares one random stream and
-// one state map across its arrays. Arrays served from different goroutines
-// (replicas in internal/serve) must each get their own engine — Clone
-// hands out identical-schedule engines for exactly that purpose.
+// An Engine is not safe for concurrent use: it shares one random stream,
+// its stats and its line-state lookup across its arrays. Arrays served from
+// different goroutines (replicas in internal/serve) must each get their own
+// engine — Clone hands out identical-schedule engines for exactly that
+// purpose.
 type Engine struct {
 	plan  Plan
 	seed  uint64 // derived stream seed, kept so Clone/Reset can rewind it
@@ -97,6 +120,11 @@ type Engine struct {
 	stats Stats
 	state map[*crossbar.Array]*arrayState
 	order []*crossbar.Array // attach order, for positional state export
+	// last/lastState cache the most recent stateOf lookup: hook callbacks
+	// arrive in long runs on one array (a layer's read, a device's
+	// write-verify loop), so most lookups skip the map.
+	last      *crossbar.Array
+	lastState *arrayState
 }
 
 // NewEngine builds a campaign engine for plan, seeded by rng.
@@ -125,6 +153,7 @@ func (e *Engine) Reset() {
 	e.stats = Stats{}
 	e.state = map[*crossbar.Array]*arrayState{}
 	e.order = nil
+	e.last, e.lastState = nil, nil
 }
 
 // Attach installs the engine as a's fault hook and begins tracking it.
@@ -139,19 +168,30 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Plan returns the engine's fault plan.
 func (e *Engine) Plan() Plan { return e.plan }
 
-// OpenLines reports how many row and column lines have opened on a.
+// OpenLines reports how many row and column lines have opened on a (0, 0
+// for an array the engine does not track; the query does not start
+// tracking it).
 func (e *Engine) OpenLines(a *crossbar.Array) (rows, cols int) {
-	s := e.stateOf(a)
-	return len(s.openRows), len(s.openCols)
-}
-
-func (e *Engine) stateOf(a *crossbar.Array) *arrayState {
 	s, ok := e.state[a]
 	if !ok {
-		s = &arrayState{openRows: map[int]bool{}, openCols: map[int]bool{}}
+		return 0, 0
+	}
+	return s.nRows, s.nCols
+}
+
+// stateOf returns a's line state, registering a (in attach order) the first
+// time a hook callback or Attach names it.
+func (e *Engine) stateOf(a *crossbar.Array) *arrayState {
+	if a == e.last {
+		return e.lastState
+	}
+	s, ok := e.state[a]
+	if !ok {
+		s = newArrayState(a)
 		e.state[a] = s
 		e.order = append(e.order, a)
 	}
+	e.last, e.lastState = a, s
 	return s
 }
 
@@ -199,9 +239,9 @@ func (e *Engine) openRandomLine(a *crossbar.Array) {
 	s := e.stateOf(a)
 	n := e.rng.Intn(a.Rows() + a.Cols())
 	if n < a.Rows() {
-		s.openRows[n] = true
+		s.openRow(n)
 	} else {
-		s.openCols[n-a.Rows()] = true
+		s.openCol(n - a.Rows())
 	}
 	e.stats.LineOpens++
 }
@@ -230,15 +270,15 @@ func (e *Engine) FilterInput(a *crossbar.Array, op crossbar.OpKind, x tensor.Vec
 // and transient upsets perturb surviving outputs.
 func (e *Engine) FilterOutput(a *crossbar.Array, op crossbar.OpKind, y tensor.Vector) {
 	s := e.stateOf(a)
+	var open []bool // the output lines: rows on a forward read, columns on a backward one
+	switch op {
+	case crossbar.OpForward:
+		open = s.openRows
+	case crossbar.OpBackward:
+		open = s.openCols
+	}
 	for i := range y {
-		open := false
-		switch op {
-		case crossbar.OpForward:
-			open = s.openRows[i]
-		case crossbar.OpBackward:
-			open = s.openCols[i]
-		}
-		if open {
+		if open != nil && open[i] {
 			y[i] = 0
 			e.stats.MaskedReads++
 			continue
@@ -263,6 +303,18 @@ func (e *Engine) FilterPulses(a *crossbar.Array, row, col, k int, up bool) int {
 		return 0
 	}
 	return k
+}
+
+// WriteBlocked implements crossbar.FaultHook: a device on an open line
+// drops every pulse train before any write-failure draw, so n trains are
+// n blocked updates.
+func (e *Engine) WriteBlocked(a *crossbar.Array, row, col, n int) bool {
+	s := e.stateOf(a)
+	if s.openRows[row] || s.openCols[col] {
+		e.stats.BlockedUpdates += int64(n)
+		return true
+	}
+	return false
 }
 
 // FilterAdvance implements crossbar.FaultHook: accelerated aging.

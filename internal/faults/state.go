@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 
 	"repro/internal/rngutil"
 )
@@ -38,14 +37,16 @@ func (e *Engine) ExportState() ([]byte, error) {
 	for _, a := range e.order {
 		s := e.state[a]
 		ls := LineState{}
-		for r := range s.openRows {
-			ls.Rows = append(ls.Rows, r)
+		for r, open := range s.openRows {
+			if open {
+				ls.Rows = append(ls.Rows, r)
+			}
 		}
-		for c := range s.openCols {
-			ls.Cols = append(ls.Cols, c)
+		for c, open := range s.openCols {
+			if open {
+				ls.Cols = append(ls.Cols, c)
+			}
 		}
-		sort.Ints(ls.Rows)
-		sort.Ints(ls.Cols)
 		st.Lines = append(st.Lines, ls)
 	}
 	var buf bytes.Buffer
@@ -71,19 +72,18 @@ func (e *Engine) ImportState(blob []byte) error {
 	e.stats = st.Stats
 	for i, a := range e.order {
 		s := e.state[a]
-		s.openRows = map[int]bool{}
-		s.openCols = map[int]bool{}
+		*s = *newArrayState(a)
 		for _, r := range st.Lines[i].Rows {
 			if r < 0 || r >= a.Rows() {
 				return fmt.Errorf("faults: open row %d out of range for array %d", r, i)
 			}
-			s.openRows[r] = true
+			s.openRow(r)
 		}
 		for _, c := range st.Lines[i].Cols {
 			if c < 0 || c >= a.Cols() {
 				return fmt.Errorf("faults: open col %d out of range for array %d", c, i)
 			}
-			s.openCols[c] = true
+			s.openCol(c)
 		}
 	}
 	return nil
