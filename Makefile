@@ -133,8 +133,13 @@ obs-smoke:
 BENCH_QUICK = $(GO) run ./cmd/bench-report -benchtime 0.3s -workers 4 \
 	-out BENCH.ci.json -baseline BENCH.json \
 	-tolerance 0.35 -min-speedup 1.5
+#
+# The simulator micro-benchmarks (one quick R6 cell, the hedge window) run
+# once each so they keep compiling and running; they gate nothing.
 bench-quick:
 	$(BENCH_QUICK) || $(BENCH_QUICK) || $(BENCH_QUICK)
+	$(GO) test -run '^$$' -bench 'RunClusterSim|WindowQuantile' -benchtime 1x -benchmem \
+		./internal/cluster ./internal/obs
 
 # Regenerate the committed benchmark baseline (slow, full benchtime).
 bench-baseline:

@@ -158,6 +158,23 @@ func buildShards(cfg CampaignConfig) ([]serve.Pipeline, []serve.SimRequest) {
 // numbers).
 func Campaign(cfg CampaignConfig) []CellResult {
 	pipes, reqs := buildShards(cfg)
+	var results []CellResult
+	for _, c := range cellRuns(cfg, pipes, reqs) {
+		results = append(results, CellResult{Scenario: c.scenario, Level: c.level, Policy: c.sim.Policy.Name,
+			M: RunClusterSim(c.sim)})
+	}
+	return results
+}
+
+// cellRun is one (scenario, level, policy) run of the campaign.
+type cellRun struct {
+	scenario string
+	level    float64
+	sim      SimConfig
+}
+
+// cellRuns lists the campaign's simulator runs in table order.
+func cellRuns(cfg CampaignConfig, pipes []serve.Pipeline, reqs []serve.SimRequest) []cellRun {
 	type cell struct {
 		scenario string
 		level    float64
@@ -168,13 +185,13 @@ func Campaign(cfg CampaignConfig) []CellResult {
 			cells = append(cells, cell{sc, lv})
 		}
 	}
-	var results []CellResult
+	var runs []cellRun
 	for ci, c := range cells {
 		plan := scenarioPlan(c.scenario, c.level, cfg)
 		schedule := plan.Schedule(cfg.Nodes, cfg.Duration,
 			rngutil.New(cfg.Seed+7919*uint64(ci+1)))
 		for _, pol := range cfg.Policies {
-			m := RunClusterSim(SimConfig{
+			runs = append(runs, cellRun{c.scenario, c.level, SimConfig{
 				Policy:       pol,
 				Traffic:      cfg.Traffic,
 				Lat:          cfg.Lat,
@@ -190,11 +207,10 @@ func Campaign(cfg CampaignConfig) []CellResult {
 				RefreshEvery: cfg.RefreshEvery,
 				RNG:          rngutil.New(cfg.Seed + 104729*uint64(ci+1)),
 				Obs:          cfg.Obs,
-			})
-			results = append(results, CellResult{Scenario: c.scenario, Level: c.level, Policy: pol.Name, M: m})
+			}})
 		}
 	}
-	return results
+	return runs
 }
 
 // RunR6 renders the full R6 experiment table to w — the body the repro

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"container/heap"
+	"fmt"
 	"math"
 	"strconv"
 
@@ -41,7 +41,9 @@ type SimConfig struct {
 	Placement Placement
 	// ShardPipes[s] serves shard s's inferences. Pipelines must be pure
 	// (no fault hook, zero read noise): the single-threaded sim shares
-	// them across nodes and cells.
+	// them across nodes and cells and grades each (shard, request) pair
+	// with one Infer per run. RunClusterSim panics on a pipeline whose
+	// Pure method reports false and trusts one without a Pure method.
 	ShardPipes []serve.Pipeline
 	// Requests is the graded request stream (drawn in order, wrapping).
 	Requests []serve.SimRequest
@@ -128,33 +130,13 @@ type node struct {
 	served int64
 }
 
+// simEvent is one queued event. i is the node (heartbeat), the tenant
+// (client arrival, with its client index), the attempt number (retry) or
+// the Schedule index (scenario).
 type simEvent struct {
-	t    float64
-	seq  int64
-	kind int
-	req  *cReq
-	att  *attempt
-	node int
-	nev  faults.NodeEvent
-}
-
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	kind, i, client int
+	req             *cReq
+	att             *attempt
 }
 
 type sim struct {
@@ -162,8 +144,7 @@ type sim struct {
 	pol   Policy
 	nodes []*node
 	place [][]int // shard → placement node IDs, best first
-	h     eventHeap
-	seq   int64
+	q     obs.Queue[simEvent]
 	rr    int
 
 	gen     *trafficGen
@@ -182,6 +163,9 @@ type sim struct {
 	reqIdx   int
 	disposed map[int64]bool
 	lat      obs.Window // recent reply latencies for the hedge estimator
+	// grades caches each (shard, request-stream index) verdict,
+	// shard-major: 0 until first graded, then +1 right or -1 wrong.
+	grades []int8
 
 	shardServed []int64
 	m           Metrics
@@ -192,6 +176,11 @@ type sim struct {
 func RunClusterSim(cfg SimConfig) Metrics {
 	if cfg.Policy.MaxAttempts <= 0 {
 		cfg.Policy.MaxAttempts = 1
+	}
+	for sh, p := range cfg.ShardPipes {
+		if pp, ok := p.(interface{ Pure() bool }); ok && !pp.Pure() {
+			panic(fmt.Sprintf("cluster: shard %d pipeline is impure (fault hook or read noise); SimConfig.ShardPipes must be pure", sh))
+		}
 	}
 	s := &sim{
 		cfg:         cfg,
@@ -206,6 +195,7 @@ func RunClusterSim(cfg SimConfig) Metrics {
 		disposed:    map[int64]bool{},
 		lat:         obs.NewWindow(64),
 		shardServed: make([]int64, cfg.Placement.Shards),
+		grades:      make([]int8, cfg.Placement.Shards*len(cfg.Requests)),
 	}
 	memberIDs := make([]int, cfg.Nodes)
 	for i := range memberIDs {
@@ -217,66 +207,55 @@ func RunClusterSim(cfg SimConfig) Metrics {
 		s.buckets = append(s.buckets, newTokenBucket(t.RatePerSec, t.Burst))
 	}
 
-	s.push(s.gen.Next(0), evArrival, nil, nil, 0, faults.NodeEvent{})
+	s.q.Push(s.gen.Next(0), simEvent{kind: evArrival})
 	for ti, t := range cfg.Traffic.Tenants {
 		for c := 0; c < t.ClosedClients; c++ {
 			at := s.thinkRN.Uniform(0, math.Max(t.ThinkTime, 1e-6))
-			s.pushClient(at, ti, c)
+			s.q.Push(at, simEvent{kind: evClientArrival, i: ti, client: c})
 		}
 	}
 	if s.pol.Detector {
 		for i := range s.nodes {
-			s.push(cfg.Detector.HeartbeatEvery*float64(i+1)/float64(cfg.Nodes),
-				evHeartbeat, nil, nil, i, faults.NodeEvent{})
+			s.q.Push(cfg.Detector.HeartbeatEvery*float64(i+1)/float64(cfg.Nodes),
+				simEvent{kind: evHeartbeat, i: i})
 		}
 	}
 	if cfg.RefreshEvery > 0 {
-		s.push(cfg.RefreshEvery, evVersionBump, nil, nil, 0, faults.NodeEvent{})
+		s.q.Push(cfg.RefreshEvery, simEvent{kind: evVersionBump})
 	}
-	for _, ev := range cfg.Schedule {
-		s.push(ev.T, evScenario, nil, nil, 0, ev)
+	for i := range cfg.Schedule {
+		s.q.Push(cfg.Schedule[i].T, simEvent{kind: evScenario, i: i})
 	}
 
-	for s.h.Len() > 0 {
-		e := heap.Pop(&s.h).(*simEvent)
+	for s.q.Len() > 0 {
+		t, e := s.q.Pop()
 		switch e.kind {
 		case evArrival:
-			s.onArrival(e.t)
+			s.onArrival(t)
 		case evClientArrival:
-			s.onClientArrival(e.t, e.node, int(e.nev.T)) // node=tenant, nev.T=client (see pushClient)
+			s.onClientArrival(t, e.i, e.client)
 		case evReqAtNode:
-			s.onReqAtNode(e.t, e.att)
+			s.onReqAtNode(t, e.att)
 		case evNodeDone:
-			s.onNodeDone(e.t, e.att)
+			s.onNodeDone(t, e.att)
 		case evReplyAtRouter:
-			s.onReply(e.t, e.att)
+			s.onReply(t, e.att)
 		case evRetry:
-			s.onRetry(e.t, e.req, e.node)
+			s.onRetry(t, e.req, e.i)
 		case evHedge:
-			s.onHedge(e.t, e.req)
+			s.onHedge(t, e.req)
 		case evDeadline:
-			s.onDeadline(e.t, e.req)
+			s.onDeadline(t, e.req)
 		case evHeartbeat:
-			s.onHeartbeat(e.t, e.node)
+			s.onHeartbeat(t, e.i)
 		case evVersionBump:
-			s.onVersionBump(e.t)
+			s.onVersionBump(t)
 		case evScenario:
-			s.onScenario(e.t, e.nev)
+			s.onScenario(t, &cfg.Schedule[e.i])
 		}
 	}
 	s.exportObs()
 	return s.m
-}
-
-func (s *sim) push(t float64, kind int, req *cReq, att *attempt, node int, nev faults.NodeEvent) {
-	s.seq++
-	heap.Push(&s.h, &simEvent{t: t, seq: s.seq, kind: kind, req: req, att: att, node: node, nev: nev})
-}
-
-// pushClient encodes a closed-loop (tenant, client) pair into the generic
-// event: node carries the tenant, nev.T the client index.
-func (s *sim) pushClient(t float64, tenant, client int) {
-	s.push(t, evClientArrival, nil, nil, tenant, faults.NodeEvent{T: float64(client)})
 }
 
 func (s *sim) reachable(n *node) bool {
@@ -313,7 +292,7 @@ func (s *sim) terminal(t float64, req *cReq) bool {
 		}
 		next := t - math.Log(u)*think
 		if next <= s.cfg.Duration {
-			s.pushClient(next, req.tenant, req.client)
+			s.q.Push(next, simEvent{kind: evClientArrival, i: req.tenant, client: req.client})
 		}
 	}
 	return true
@@ -323,7 +302,7 @@ func (s *sim) onArrival(t float64) {
 	if t > s.cfg.Duration {
 		return
 	}
-	s.push(s.gen.Next(t), evArrival, nil, nil, 0, faults.NodeEvent{})
+	s.q.Push(s.gen.Next(t), simEvent{kind: evArrival})
 	s.admit(t, s.newRequest(t, s.gen.Tenant(), -1))
 }
 
@@ -368,7 +347,7 @@ func (s *sim) admit(t float64, req *cReq) {
 		}
 		return
 	}
-	s.push(req.deadline, evDeadline, req, nil, 0, faults.NodeEvent{})
+	s.q.Push(req.deadline, simEvent{kind: evDeadline, req: req})
 	s.dispatch(t, req, cands[0], false)
 }
 
@@ -438,13 +417,13 @@ func (s *sim) dispatch(t float64, req *cReq, nodeID int, isHedge bool) {
 	if s.msgLost() {
 		s.m.MsgsLost++
 	} else {
-		s.push(t+s.netDelay(), evReqAtNode, nil, att, 0, faults.NodeEvent{})
+		s.q.Push(t+s.netDelay(), simEvent{kind: evReqAtNode, att: att})
 	}
 	if !isHedge && req.attempts < s.pol.MaxAttempts && s.pol.RetryAfter > 0 {
-		s.push(t+s.pol.RetryAfter, evRetry, req, nil, req.attempts, faults.NodeEvent{})
+		s.q.Push(t+s.pol.RetryAfter, simEvent{kind: evRetry, req: req, i: req.attempts})
 	}
 	if !isHedge && !req.hedged && s.pol.Hedge && len(s.place[req.shard]) > 1 {
-		s.push(t+s.hedgeDelay(), evHedge, req, nil, 0, faults.NodeEvent{})
+		s.q.Push(t+s.hedgeDelay(), simEvent{kind: evHedge, req: req})
 	}
 }
 
@@ -481,10 +460,23 @@ func (s *sim) onReqAtNode(t float64, att *attempt) {
 	n.freeAt = start + dur
 	att.epoch = n.epoch
 	att.ver = n.version
-	req := att.req
-	y, _ := s.cfg.ShardPipes[req.shard].Infer(s.cfg.Requests[req.idx%len(s.cfg.Requests)].X, false)
-	att.correct = y.ArgMax() == s.cfg.Requests[req.idx%len(s.cfg.Requests)].Want
-	s.push(start+dur, evNodeDone, nil, att, 0, faults.NodeEvent{})
+	att.correct = s.grade(att.req)
+	s.q.Push(start+dur, simEvent{kind: evNodeDone, att: att})
+}
+
+// grade reports whether the request's shard pipeline answers it right,
+// running the inference only the first time the run meets the pair.
+func (s *sim) grade(req *cReq) bool {
+	i := req.idx % len(s.cfg.Requests)
+	g := &s.grades[req.shard*len(s.cfg.Requests)+i]
+	if *g == 0 {
+		r := s.cfg.Requests[i]
+		*g = -1
+		if y, _ := s.cfg.ShardPipes[req.shard].Infer(r.X, false); y.ArgMax() == r.Want {
+			*g = 1
+		}
+	}
+	return *g > 0
 }
 
 func (s *sim) onNodeDone(t float64, att *attempt) {
@@ -500,7 +492,7 @@ func (s *sim) onNodeDone(t float64, att *attempt) {
 		s.m.MsgsLost++
 		return
 	}
-	s.push(t+s.netDelay(), evReplyAtRouter, nil, att, 0, faults.NodeEvent{})
+	s.q.Push(t+s.netDelay(), simEvent{kind: evReplyAtRouter, att: att})
 }
 
 func (s *sim) onReply(t float64, att *attempt) {
@@ -592,7 +584,7 @@ func (s *sim) onDeadline(t float64, req *cReq) {
 // down node, or either leg getting lost. The detector folds the result in.
 func (s *sim) onHeartbeat(t float64, nodeID int) {
 	if t <= s.horizon {
-		s.push(t+s.cfg.Detector.HeartbeatEvery, evHeartbeat, nil, nil, nodeID, faults.NodeEvent{})
+		s.q.Push(t+s.cfg.Detector.HeartbeatEvery, simEvent{kind: evHeartbeat, i: nodeID})
 	}
 	n := s.nodes[nodeID]
 	lost := s.cfg.Plan.MsgLoss > 0 && (s.hbRN.Bernoulli(s.cfg.Plan.MsgLoss) || s.hbRN.Bernoulli(s.cfg.Plan.MsgLoss))
@@ -650,11 +642,11 @@ func (s *sim) onVersionBump(t float64) {
 		}
 	}
 	if t+s.cfg.RefreshEvery <= s.cfg.Duration {
-		s.push(t+s.cfg.RefreshEvery, evVersionBump, nil, nil, 0, faults.NodeEvent{})
+		s.q.Push(t+s.cfg.RefreshEvery, simEvent{kind: evVersionBump})
 	}
 }
 
-func (s *sim) onScenario(t float64, ev faults.NodeEvent) {
+func (s *sim) onScenario(t float64, ev *faults.NodeEvent) {
 	switch ev.Kind {
 	case faults.NodeCrash:
 		n := s.nodes[ev.Node]

@@ -397,17 +397,20 @@ func (h *Histogram) isVolatile() bool   { return h.volatile }
 var summaryQuantiles = []float64{0.5, 0.9, 0.99}
 
 func (h *Histogram) write(w io.Writer, family, labels string) {
+	qs := make([]float64, len(summaryQuantiles))
 	h.mu.Lock()
-	s := append([]float64(nil), h.win.samples...)
+	s := h.win.sortedSamples()
+	for i, q := range summaryQuantiles {
+		qs[i] = NearestRank(s, q)
+	}
 	count, sum := h.count, h.sum
 	h.mu.Unlock()
-	sort.Float64s(s)
-	for _, q := range summaryQuantiles {
+	for i, q := range summaryQuantiles {
 		qLabels := fmt.Sprintf("quantile=%q", ftoa(q))
 		if labels != "" {
 			qLabels = labels + "," + qLabels
 		}
-		fmt.Fprintf(w, "%s{%s} %s\n", family, qLabels, ftoa(NearestRank(s, q)))
+		fmt.Fprintf(w, "%s{%s} %s\n", family, qLabels, ftoa(qs[i]))
 	}
 	fmt.Fprintf(w, "%s %s\n%s %d\n", seriesRef(family+"_sum", labels), ftoa(sum), seriesRef(family+"_count", labels), count)
 }

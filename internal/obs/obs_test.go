@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"container/heap"
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -393,5 +396,187 @@ func TestFtoaDeterministic(t *testing.T) {
 	}
 	if got := ftoa(math.Inf(1)); got != "+Inf" {
 		t.Fatalf("ftoa(+Inf) = %q", got)
+	}
+}
+
+// sameFloat is value equality that also matches NaN with NaN. The two
+// zeros compare equal: sort.Float64s leaves their relative order
+// unspecified, so neither side defines which one a tie reports.
+func sameFloat(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestWindowMatchesQuantile differentially tests the sorted window against
+// Quantile over a plain slice of the same retained samples: seeded streams
+// heavy in duplicates and signed zeros (with the odd NaN), several
+// capacities including unbounded and 1, well past wraparound, with Add and
+// Quantile interleaved. The sorted view must hold exactly the retained samples, bit
+// for bit (so evicting -0 never removes a +0).
+func TestWindowMatchesQuantile(t *testing.T) {
+	pool := []float64{-1, math.Copysign(0, -1), 0, 0.5, 1, 1, 2, 3}
+	qs := []float64{-0.1, 0, 0.01, 0.25, 0.5, 0.85, 0.9, 0.99, 1, 1.2}
+	for _, capacity := range []int{0, 1, 2, 5, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			w := NewWindow(capacity)
+			var kept []float64
+			for i := 0; i < 400; i++ {
+				var v float64
+				switch r := rng.Float64(); {
+				case r < 0.6:
+					v = pool[rng.Intn(len(pool))]
+				case r < 0.99:
+					v = rng.NormFloat64()
+				default:
+					v = math.NaN()
+				}
+				w.Add(v)
+				kept = append(kept, v)
+				if capacity > 0 && len(kept) > capacity {
+					kept = kept[1:]
+				}
+				if rng.Intn(3) > 0 {
+					continue
+				}
+				for _, q := range qs {
+					if got, want := w.Quantile(q), Quantile(kept, q); !sameFloat(got, want) {
+						t.Fatalf("cap %d seed %d after %d adds: Quantile(%v) = %v, want %v", capacity, seed, i+1, q, got, want)
+					}
+				}
+				ref := append([]float64(nil), kept...)
+				sort.Float64s(ref)
+				got := w.sortedSamples()
+				if len(got) != len(ref) {
+					t.Fatalf("cap %d seed %d: sortedSamples has %d samples, want %d", capacity, seed, len(got), len(ref))
+				}
+				bits := map[uint64]int{}
+				for j := range ref {
+					if !sameFloat(got[j], ref[j]) {
+						t.Fatalf("cap %d seed %d: sortedSamples()[%d] = %v, want %v", capacity, seed, j, got[j], ref[j])
+					}
+					bits[math.Float64bits(got[j])]++
+					bits[math.Float64bits(ref[j])]--
+				}
+				for b, n := range bits {
+					if n != 0 {
+						t.Fatalf("cap %d seed %d: sortedSamples holds %+d copies of %v (bits %#x) beyond the retained samples", capacity, seed, n, math.Float64frombits(b), b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowCosts pins the costs the sorted window promises: a bounded
+// Add and every Quantile allocate nothing, and an unbounded window sorts
+// once per burst of Adds, not once per quantile.
+func TestWindowCosts(t *testing.T) {
+	w := NewWindow(64)
+	for i := 0; i < 64; i++ {
+		w.Add(float64(i % 7))
+	}
+	x := 0.0
+	if a := testing.AllocsPerRun(100, func() {
+		x += 0.37
+		w.Add(x)
+		w.Quantile(0.9)
+	}); a != 0 {
+		t.Errorf("bounded Add+Quantile allocates %v times, want 0", a)
+	}
+	all := NewWindow(0)
+	for i := 100; i >= 1; i-- {
+		all.Add(float64(i))
+	}
+	first := &all.sortedSamples()[0]
+	if a := testing.AllocsPerRun(100, func() { all.Quantile(0.5) }); a != 0 {
+		t.Errorf("cached unbounded Quantile allocates %v times, want 0", a)
+	}
+	if &all.sortedSamples()[0] != first {
+		t.Error("unbounded window re-sorted without an Add in between")
+	}
+	all.Add(0)
+	if got := all.Quantile(0); got != 0 {
+		t.Errorf("unbounded min after Add = %v, want 0 (cache refreshed)", got)
+	}
+}
+
+// TestQueueMatchesHeap differentially tests Queue against a container/heap
+// reference ordered by (time, push order): times drawn from a handful of
+// values so ties dominate, pushes and pops interleaved.
+func TestQueueMatchesHeap(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue[int]
+		ref := &refHeap{}
+		id := 0
+		for step := 0; step < 5000; step++ {
+			if ref.Len() == 0 || rng.Intn(5) < 3 {
+				tm := float64(rng.Intn(6))
+				id++
+				q.Push(tm, id)
+				heap.Push(ref, refItem{t: tm, seq: id})
+				continue
+			}
+			if q.Len() != ref.Len() {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, q.Len(), ref.Len())
+			}
+			tm, got := q.Pop()
+			want := heap.Pop(ref).(refItem)
+			if tm != want.t || got != want.seq {
+				t.Fatalf("seed %d step %d: Pop = (%v, %d), want (%v, %d)", seed, step, tm, got, want.t, want.seq)
+			}
+		}
+		for ref.Len() > 0 {
+			tm, got := q.Pop()
+			if want := heap.Pop(ref).(refItem); tm != want.t || got != want.seq {
+				t.Fatalf("seed %d drain: Pop = (%v, %d), want (%v, %d)", seed, tm, got, want.t, want.seq)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("seed %d: %d events left after the reference drained", seed, q.Len())
+		}
+	}
+}
+
+type refItem struct {
+	t   float64
+	seq int
+}
+
+type refHeap []refItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// BenchmarkWindowQuantile is the hedging pattern: fold one latency into a
+// full 64-sample window, then read the hedge quantile.
+func BenchmarkWindowQuantile(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	w := NewWindow(64)
+	lat := make([]float64, 1024)
+	for i := range lat {
+		lat[i] = 1e-3 * math.Exp(0.25*rng.NormFloat64())
+	}
+	for _, v := range lat[:64] {
+		w.Add(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Add(lat[i%len(lat)])
+		w.Quantile(0.9)
 	}
 }

@@ -45,15 +45,27 @@ func Quantile(samples []float64, q float64) float64 {
 	return NearestRank(s, q)
 }
 
-// Window keeps the most recent samples of a stream in a ring and answers
+// Window keeps the most recent samples of a stream and answers
 // nearest-rank quantiles over them — the hedging window of the serve
 // replicas and the cluster router, and the retained set of a Histogram.
-// Capacity 0 keeps every sample. A Window is not safe for concurrent use;
-// callers that share one hold their own lock.
+// A bounded window keeps its samples in sorted order as they arrive (a
+// binary search plus a shift of at most capacity elements per Add), so a
+// quantile is one index lookup. Capacity 0 keeps every sample with an O(1)
+// Add and sorts lazily, caching the sorted copy until the next Add. A
+// Window is not safe for concurrent use; callers that share one hold their
+// own lock.
 type Window struct {
 	capacity int
-	samples  []float64
-	next     int // ring cursor once full
+	// samples holds the stream in arrival order: the ring of the last
+	// capacity samples (next is its cursor once full), or every sample when
+	// unbounded.
+	samples []float64
+	next    int
+	// sorted is the retained multiset in ascending order — maintained on
+	// every Add when bounded, a lazily rebuilt cache (valid while fresh)
+	// when unbounded.
+	sorted []float64
+	fresh  bool
 }
 
 // NewWindow returns a window retaining the last capacity samples (every
@@ -62,22 +74,78 @@ func NewWindow(capacity int) Window {
 	w := Window{capacity: capacity}
 	if capacity > 0 {
 		w.samples = make([]float64, 0, capacity)
+		w.sorted = make([]float64, 0, capacity)
 	}
 	return w
 }
 
 // Add folds one sample in, evicting the oldest once the window is full.
 func (w *Window) Add(v float64) {
-	if w.capacity <= 0 || len(w.samples) < w.capacity {
+	if w.capacity <= 0 {
 		w.samples = append(w.samples, v)
+		w.fresh = false
 		return
 	}
+	if len(w.samples) < w.capacity {
+		w.samples = append(w.samples, v)
+		w.sorted = append(w.sorted, v)
+		w.place(len(w.sorted)-1, v)
+		return
+	}
+	old := w.samples[w.next]
 	w.samples[w.next] = v
 	w.next = (w.next + 1) % w.capacity
+	w.place(w.indexOf(old), v)
+}
+
+// place overwrites sorted[r] with v and moves v to its ordered position,
+// shifting only the elements between the two slots.
+func (w *Window) place(r int, v float64) {
+	s := w.sorted
+	if r > 0 && floatLess(v, s[r-1]) {
+		k := upperBound(s[:r], v)
+		copy(s[k+1:r+1], s[k:r])
+		s[k] = v
+		return
+	}
+	k := r + upperBound(s[r+1:], v)
+	copy(s[r:k], s[r+1:k+1])
+	s[k] = v
+}
+
+// indexOf locates the evicted sample v in sorted. Equal samples sit in
+// arrival order (place puts a new sample after its equals), so the oldest
+// retained copy of v — the one leaving — is the first of its run, and the
+// sorted multiset stays bit-identical to the ring's, signed zeros included.
+func (w *Window) indexOf(v float64) int {
+	s := w.sorted
+	return sort.Search(len(s), func(i int) bool { return !floatLess(s[i], v) })
+}
+
+// upperBound is the first index of the ascending s whose element orders
+// after v.
+func upperBound(s []float64, v float64) int {
+	return sort.Search(len(s), func(i int) bool { return floatLess(v, s[i]) })
+}
+
+// floatLess is sort.Float64s' order: ascending, NaNs first.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// sortedSamples returns the retained samples in ascending order. The slice
+// is the window's own: read it before the next Add and do not modify it.
+func (w *Window) sortedSamples() []float64 {
+	if w.capacity <= 0 && !w.fresh {
+		w.sorted = append(w.sorted[:0], w.samples...)
+		sort.Float64s(w.sorted)
+		w.fresh = true
+	}
+	return w.sorted
 }
 
 // Quantile reports the nearest-rank q-th quantile of the retained samples,
 // 0 when empty.
 func (w *Window) Quantile(q float64) float64 {
-	return Quantile(w.samples, q)
+	return NearestRank(w.sortedSamples(), q)
 }

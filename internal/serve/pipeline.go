@@ -209,6 +209,22 @@ func NewMLPPipelineFromState(golden *nn.MLP, canaryX []tensor.Vector, cfg MLPPip
 	return p, nil
 }
 
+// Pure reports whether Infer is a fixed function of its input: no array
+// carries a fault hook and the periphery adds no read noise. Simulators
+// that share one pipeline across runs, or grade a repeated input once,
+// rely on it.
+func (p *MLPPipeline) Pure() bool {
+	if p.cfg.Array.ReadNoise != 0 {
+		return false
+	}
+	for _, arr := range p.arrays {
+		if arr.Arr.FaultHook() != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Infer implements Pipeline.
 func (p *MLPPipeline) Infer(x tensor.Vector, verify bool) (tensor.Vector, bool) {
 	y := p.net.Forward(x).Clone()

@@ -239,3 +239,22 @@ func TestSimLoadShedding(t *testing.T) {
 		t.Fatalf("requests unaccounted for: %+v", m)
 	}
 }
+
+// TestMLPPipelinePure pins what makes a replica pure: a plain programmed
+// pipeline is, while a fault hook on its arrays or read noise in its
+// periphery makes it impure.
+func TestMLPPipelinePure(t *testing.T) {
+	golden, _, _ := trainTestMLP(11)
+	if !NewMLPPipeline(golden, nil, DefaultMLPPipelineConfig(), nil, rngutil.New(1)).Pure() {
+		t.Error("hook-free, noise-free pipeline reports impure")
+	}
+	eng := faults.NewEngine(faults.Plan{}, rngutil.New(2))
+	if NewMLPPipeline(golden, nil, DefaultMLPPipelineConfig(), eng.Attach, rngutil.New(1)).Pure() {
+		t.Error("pipeline with a fault hook reports pure")
+	}
+	noisy := DefaultMLPPipelineConfig()
+	noisy.Array.ReadNoise = 0.01
+	if NewMLPPipeline(golden, nil, noisy, nil, rngutil.New(1)).Pure() {
+		t.Error("pipeline with read noise reports pure")
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/obs"
@@ -134,31 +133,10 @@ const (
 )
 
 type simEvent struct {
-	t    float64
-	seq  int64
 	kind int
 	req  *simReq
 	rep  *simReplica
 	att  *simAttempt
-}
-
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
 type simReq struct {
@@ -198,8 +176,7 @@ type sim struct {
 	cfg   SimConfig
 	reps  []*simReplica
 	queue []*simReq
-	h     eventHeap
-	seq   int64
+	q     obs.Queue[simEvent]
 	rr    int
 	arrRN *rngutil.Source
 	latRN *rngutil.Source
@@ -235,21 +212,21 @@ func RunSim(cfg SimConfig, replicas []*Replica) Metrics {
 			s.push(offset, evCanary, nil, r, nil)
 		}
 	}
-	for s.h.Len() > 0 {
-		e := heap.Pop(&s.h).(*simEvent)
+	for s.q.Len() > 0 {
+		t, e := s.q.Pop()
 		switch e.kind {
 		case evArrival:
-			s.onArrival(e.t)
+			s.onArrival(t)
 		case evDone:
-			s.onDone(e.t, e.att)
+			s.onDone(t, e.att)
 		case evHedge:
-			s.onHedge(e.t, e.req, e.rep)
+			s.onHedge(t, e.req, e.rep)
 		case evRetry:
-			s.onRetry(e.t, e.req)
+			s.onRetry(t, e.req)
 		case evCanary:
-			s.onCanary(e.t, e.rep)
+			s.onCanary(t, e.rep)
 		case evRecalDone:
-			s.onRecalDone(e.t, e.rep)
+			s.onRecalDone(t, e.rep)
 		}
 	}
 	// Anything still queued when the event stream ran dry can never be
@@ -307,8 +284,7 @@ func (s *sim) exportObs() {
 }
 
 func (s *sim) push(t float64, kind int, req *simReq, rep *simReplica, att *simAttempt) {
-	s.seq++
-	heap.Push(&s.h, &simEvent{t: t, seq: s.seq, kind: kind, req: req, rep: rep, att: att})
+	s.q.Push(t, simEvent{kind: kind, req: req, rep: rep, att: att})
 }
 
 func (s *sim) nextArrival(now float64) float64 {
