@@ -1,12 +1,12 @@
 GO ?= go
 
 .PHONY: all build fmt vet lint test race check ci-sync smoke cluster-smoke \
-	determinism obs-smoke bench-quick bench-baseline campaign \
+	determinism obs-smoke bench-quick bench-baseline perfbench-test campaign \
 	serve-campaign train-campaign cluster-campaign
 
 # The full CI gate: every ci.yml job body is a target here, so `make all`
 # locally reproduces exactly what CI enforces.
-all: check smoke cluster-smoke determinism obs-smoke bench-quick
+all: check smoke cluster-smoke determinism obs-smoke bench-quick perfbench-test
 
 build:
 	$(GO) build ./...
@@ -140,6 +140,12 @@ bench-quick:
 	$(BENCH_QUICK) || $(BENCH_QUICK) || $(BENCH_QUICK)
 	$(GO) test -run '^$$' -bench 'RunClusterSim|WindowQuantile' -benchtime 1x -benchmem \
 		./internal/cluster ./internal/obs
+
+# The end-to-end benchmark is its own module, so the root `go test ./...`
+# never reaches its tests: the manifest matches the metrics it prints, and a
+# traced run keeps the untraced run's digest (~30 s).
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # Regenerate the committed benchmark baseline (slow, full benchtime).
 bench-baseline:

@@ -2,6 +2,8 @@ package rngutil
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -203,17 +205,94 @@ func TestStateOfFreshSource(t *testing.T) {
 	}
 }
 
-// TestCountingDoesNotPerturbStream guards the seed-compatibility invariant:
-// the counting wrapper must produce the identical value sequence the
-// pre-checkpointing implementation produced, or every pinned table in the
-// repository would silently shift.
-func TestCountingDoesNotPerturbStream(t *testing.T) {
-	want := []uint64{New(1).Uint64(), New(1).Child("x").Uint64()}
-	got := []uint64{New(1).Uint64(), New(1).Child("x").Uint64()}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatal("stream not deterministic")
+// mathRandSeeds are the seeds the stream-compatibility checks cover: zero
+// and the chain's zero-seed substitute, seeds whose int64 form is negative,
+// multiples of the seeding modulus 2³¹−1, and values at or above 2⁶³.
+var mathRandSeeds = []uint64{
+	0, 1, 2, 42, zeroSeed,
+	lcgMod, 2 * lcgMod, 12345 * lcgMod,
+	1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<64 - 1,
+	uint64(1<<64 - lcgMod), uint64(1<<64 - zeroSeed), uint64(1<<64 - 12345678901),
+}
+
+// assertMatchesMathRand draws n values of every kind the repository uses
+// from s and from math/rand seeded the same way, failing on the first
+// difference. Kinds run in turn, so each starts mid-stream.
+func assertMatchesMathRand(t *testing.T, what string, s *Source, seed uint64) {
+	t.Helper()
+	const n = 10000
+	ref := rand.New(rand.NewSource(int64(seed)))
+	fail := func(kind string, i int, got, want any) {
+		t.Helper()
+		t.Fatalf("%s seed %d: %s draw %d = %v, math/rand gives %v", what, seed, kind, i, got, want)
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.Uint64(), ref.Uint64(); got != want {
+			fail("Uint64", i, got, want)
 		}
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.Int63(), ref.Int63(); got != want {
+			fail("Int63", i, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.Float64(), ref.Float64(); got != want {
+			fail("Float64", i, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.NormFloat64(), ref.NormFloat64(); got != want {
+			fail("NormFloat64", i, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.ExpFloat64(), ref.ExpFloat64(); got != want {
+			fail("ExpFloat64", i, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.Intn(91+i), ref.Intn(91+i); got != want {
+			fail("Intn", i, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		m := int64(1)<<(i%62) + int64(i)
+		if got, want := s.Int63n(m), ref.Int63n(m); got != want {
+			fail("Int63n", i, got, want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, want := s.Perm(1+i%17), ref.Perm(1+i%17); !slices.Equal(got, want) {
+			fail("Perm", i, got, want)
+		}
+	}
+	a, b := make([]int, 23), make([]int, 23)
+	for i := 0; i < n; i++ {
+		s.Shuffle(len(a), func(x, y int) { a[x], a[y] = a[y], a[x] })
+		ref.Shuffle(len(b), func(x, y int) { b[x], b[y] = b[y], b[x] })
+		if !slices.Equal(a, b) {
+			fail("Shuffle", i, a, b)
+		}
+	}
+}
+
+// TestCountingDoesNotPerturbStream guards the seed-compatibility invariant:
+// every Source — fresh, reseeded in place, or derived with SubInto — must
+// produce the identical value sequence math/rand produces for the same
+// seed, or every pinned table in the repository would silently shift.
+func TestCountingDoesNotPerturbStream(t *testing.T) {
+	reused := New(999)
+	parent := New(31)
+	for _, seed := range mathRandSeeds {
+		assertMatchesMathRand(t, "New", New(seed), seed)
+
+		reused.NormFloat64()
+		reused.Reseed(seed)
+		assertMatchesMathRand(t, "Reseed", reused, seed)
+
+		parent.SubInto(reused, seed, 7)
+		assertMatchesMathRand(t, "SubInto", reused, reused.Seed())
 	}
 }
 
@@ -288,5 +367,81 @@ func TestSubIntoAllocFree(t *testing.T) {
 		dst.Float64()
 	}); got > 0 {
 		t.Fatalf("SubInto: %.1f allocs/op, want 0", got)
+	}
+}
+
+var (
+	sinkFloat float64
+	sinkU64   uint64
+)
+
+// BenchmarkReseed measures repositioning a stream at a new seed — the cost
+// each update pays per tile for its keyed pulse-noise stream — beside
+// math/rand's Seed, which runs the serial seeding chain.
+func BenchmarkReseed(b *testing.B) {
+	b.Run("rngutil", func(b *testing.B) {
+		s := New(1)
+		for i := 0; i < b.N; i++ {
+			s.Reseed(uint64(i))
+		}
+		sinkU64 = s.Uint64()
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		for i := 0; i < b.N; i++ {
+			r.Seed(int64(i))
+		}
+		sinkU64 = r.Uint64()
+	})
+}
+
+// BenchmarkFloat64 measures one uniform draw, the pulse-train sampling unit.
+func BenchmarkFloat64(b *testing.B) {
+	b.Run("rngutil", func(b *testing.B) {
+		s := New(1)
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			sum += s.Float64()
+		}
+		sinkFloat = sum
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			sum += r.Float64()
+		}
+		sinkFloat = sum
+	})
+}
+
+// BenchmarkNormFloat64 measures one normal draw, the cycle-noise unit, which
+// still goes through the embedded *rand.Rand.
+func BenchmarkNormFloat64(b *testing.B) {
+	b.Run("rngutil", func(b *testing.B) {
+		s := New(1)
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			sum += s.NormFloat64()
+		}
+		sinkFloat = sum
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			sum += r.NormFloat64()
+		}
+		sinkFloat = sum
+	})
+}
+
+// BenchmarkFromState measures restoring a checkpointed stream position; the
+// cost is the replay, so ns/op divided by the draw count is the per-step
+// replay rate FromState's documentation quotes.
+func BenchmarkFromState(b *testing.B) {
+	st := State{Seed: 1, Draws: 1 << 20}
+	for i := 0; i < b.N; i++ {
+		sinkU64 = FromState(st).Uint64()
 	}
 }
