@@ -134,12 +134,13 @@ BENCH_QUICK = $(GO) run ./cmd/bench-report -benchtime 0.3s -workers 4 \
 	-out BENCH.ci.json -baseline BENCH.json \
 	-tolerance 0.35 -min-speedup 1.5
 #
-# The simulator micro-benchmarks (one quick R6 cell, the hedge window) run
-# once each so they keep compiling and running; they gate nothing.
+# The simulator micro-benchmarks (one quick R6 cell, the hedge window) and
+# the verified MLP pipeline read (pure vs re-reading twin) run once each so
+# they keep compiling and running; they gate nothing.
 bench-quick:
 	$(BENCH_QUICK) || $(BENCH_QUICK) || $(BENCH_QUICK)
-	$(GO) test -run '^$$' -bench 'RunClusterSim|WindowQuantile' -benchtime 1x -benchmem \
-		./internal/cluster ./internal/obs
+	$(GO) test -run '^$$' -bench 'RunClusterSim|WindowQuantile|MLPPipelineInfer' -benchtime 1x -benchmem \
+		./internal/cluster ./internal/obs ./internal/serve
 
 # The end-to-end benchmark is its own module, so the root `go test ./...`
 # never reaches its tests: the manifest matches the metrics it prints, and a

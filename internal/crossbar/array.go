@@ -199,8 +199,21 @@ func NewArray(rows, cols int, model Model, cfg Config, rng *rngutil.Source) *Arr
 	// construction.
 	valueRng := rng.Child("stuck-values")
 	lo, hi := model.WeightBounds()
+	newDev := model.New
+	if pm, ok := model.(*PCMModel); ok {
+		// One parameter block per array, copied now (later edits to the
+		// model do not reach built devices), and the pairs in one slab.
+		p := pm.P
+		pairs := make([]pcmPair, len(a.dev))
+		newDev = func(rng *rngutil.Source) Device {
+			d := &pairs[0]
+			pairs = pairs[1:]
+			d.init(&p, rng)
+			return d
+		}
+	}
 	for i := range a.dev {
-		a.dev[i] = model.New(devRng)
+		a.dev[i] = newDev(devRng)
 		a.stuck[i] = faultRng.Bernoulli(cfg.StuckFraction)
 		if a.stuck[i] {
 			a.stuckCount++
@@ -405,6 +418,17 @@ func (a *Array) ForwardBatch(xs []tensor.Vector) []tensor.Vector {
 		a.Counts.DigitalMACs += int64(a.rows) * int64(a.cols)
 	}
 	return ys
+}
+
+// ChargeForwards counts n forward reads the hardware performed but the host
+// did not simulate, because their result was already known (a noiseless,
+// hook-free array reads the same input to the same output). The counters
+// advance exactly as n Forward calls would, so modelled cost is unchanged.
+func (a *Array) ChargeForwards(n int) {
+	a.acquire()
+	defer a.release()
+	a.Counts.Forwards += int64(n)
+	a.Counts.DigitalMACs += int64(n) * int64(a.rows) * int64(a.cols)
 }
 
 // Backward implements nn.Mat: the transposed MVM yᵀ = Wᵀ·d obtained by

@@ -70,19 +70,30 @@ func (m *PCMModel) MeanStep() float64 {
 // WeightBounds implements Model.
 func (m *PCMModel) WeightBounds() (float64, float64) { return -m.P.GMax, m.P.GMax }
 
-// New implements Model.
+// New implements Model. The device gets a private copy of the parameters;
+// NewArray instead points every device of an array at one shared copy.
 func (m *PCMModel) New(rng *rngutil.Source) Device {
-	scale := 1.0
-	if m.P.DeviceVar > 0 {
-		scale = math.Max(0.05, rng.Normal(1, m.P.DeviceVar))
-	}
-	// Start both legs mid-range so the pair has programming headroom in both
-	// directions, as done when arrays are initialized for training.
-	return &pcmPair{p: m.P, scale: scale, gp: 0.25 * m.P.GMax, gn: 0.25 * m.P.GMax}
+	p := m.P
+	d := &pcmPair{}
+	d.init(&p, rng)
+	return d
 }
 
+// init draws the device's increment scale and places both legs mid-range,
+// so the pair has programming headroom in both directions, as done when
+// arrays are initialized for training.
+func (d *pcmPair) init(p *PCMParams, rng *rngutil.Source) {
+	scale := 1.0
+	if p.DeviceVar > 0 {
+		scale = math.Max(0.05, rng.Normal(1, p.DeviceVar))
+	}
+	*d = pcmPair{p: p, scale: scale, gp: 0.25 * p.GMax, gn: 0.25 * p.GMax}
+}
+
+// pcmPair is one differential pair. p is read-only and shared by every
+// device of an array (see NewArray), which keeps a device at 32 bytes.
 type pcmPair struct {
-	p      PCMParams
+	p      *PCMParams
 	scale  float64
 	gp, gn float64 // G⁺ and G⁻ legs
 }

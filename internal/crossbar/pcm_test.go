@@ -2,7 +2,9 @@ package crossbar
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rngutil"
 )
@@ -86,4 +88,76 @@ func TestPCMPulseMatchesPowReference(t *testing.T) {
 			t.Fatalf("gamma %v: schedule never reached the GMax rail", gamma)
 		}
 	}
+}
+
+// TestPCMArraySharesParams pins the per-array parameter block: every pair
+// of a PCM array points at one copy of the model's parameters, taken when
+// the array is built (later edits to the model do not reach it), a pair is
+// 32 bytes, the pairs match what PCMModel.New draws from the same stream,
+// and export → import round-trips bit for bit without detaching a pair
+// from the shared block.
+func TestPCMArraySharesParams(t *testing.T) {
+	if n := unsafe.Sizeof(pcmPair{}); n != 32 {
+		t.Fatalf("pcmPair is %d bytes, want 32", n)
+	}
+	shared := func(a *Array) *PCMParams {
+		t.Helper()
+		p := a.dev[0].(*pcmPair).p
+		for i, d := range a.dev {
+			if d.(*pcmPair).p != p {
+				t.Fatalf("device %d has its own params block", i)
+			}
+		}
+		return p
+	}
+	m := PCM()
+	a := NewArray(6, 5, m, DefaultConfig(), rngutil.New(41))
+	if p := shared(a); p == &m.P || *p != m.P {
+		t.Fatalf("array params %p %+v, want a copy of the model's %+v", p, *p, m.P)
+	}
+	devRng := rngutil.New(41).Child("devices")
+	for i, d := range a.dev {
+		got, want := d.(*pcmPair), m.New(devRng).(*pcmPair)
+		if got.scale != want.scale || got.gp != want.gp || got.gn != want.gn {
+			t.Fatalf("device %d: (%v, %v, %v), PCMModel.New gives (%v, %v, %v)",
+				i, got.scale, got.gp, got.gn, want.scale, want.gp, want.gn)
+		}
+	}
+
+	// Copy at construction: a's devices must not see the model edit. (Only
+	// device-level operations are driven: Update and Program also consult
+	// the live model's MeanStep, as they always have.)
+	ref := NewArray(6, 5, PCM(), DefaultConfig(), rngutil.New(41))
+	m.P.DG *= 10
+	m.P.GMax /= 2
+	m.P.Nu *= 3
+	for _, arr := range []*Array{a, ref} {
+		arr.PulseAll(40, true)
+		arr.PulseAll(25, false)
+		arr.AdvanceTime(50)
+		arr.ResetAll()
+		arr.PulseAll(30, true)
+	}
+	if !reflect.DeepEqual(a.ExportState(), ref.ExportState()) {
+		t.Fatal("editing the model after NewArray changed the array's pulses")
+	}
+
+	scrambleArray(a, rngutil.New(43))
+	st := a.ExportState()
+	b := NewArray(6, 5, PCM(), DefaultConfig(), rngutil.New(97))
+	if err := b.ImportState(st); err != nil {
+		t.Fatalf("ImportState: %v", err)
+	}
+	got := b.ExportState()
+	for i := range st.Devices {
+		for k, f := range st.Devices[i].F {
+			if math.Float64bits(f) != math.Float64bits(got.Devices[i].F[k]) {
+				t.Fatalf("device %d scalar %d: exported %v, re-exported %v", i, k, f, got.Devices[i].F[k])
+			}
+		}
+	}
+	if !reflect.DeepEqual(st, got) {
+		t.Fatal("re-export differs from the exported state")
+	}
+	shared(b)
 }

@@ -220,10 +220,12 @@ func TestServiceBatchWaitOnInjectedClock(t *testing.T) {
 	}
 	// First arrival: the worker takes it and waits for companions. Second
 	// arrival lands mid-wait and must join the block (the queue drains into
-	// the gathering worker).
+	// the gathering worker). An empty queue alone does not show that: it is
+	// empty before either Do enqueues, so wait until the worker has taken
+	// both requests.
 	do()
 	do()
-	waitUntil(t, func() bool { return len(svc.queue) == 0 })
+	waitUntil(t, func() bool { return svc.taken.Load() == 2 })
 	// Fire the wait: the worker registers its clock.After asynchronously, so
 	// keep advancing virtual time until the block dispatches (the policy
 	// deadline is far enough out that the extra advances cannot expire it).

@@ -19,7 +19,9 @@ import (
 type Pipeline interface {
 	// Infer runs one inference. With verify set it reads twice (temporal
 	// redundancy) and reports ok=false when the two reads diverge — the
-	// signature of a transient upset rather than a persistent fault.
+	// signature of a transient upset rather than a persistent fault. A pure
+	// pipeline (see MLPPipeline.Pure) still charges the second read to its
+	// arrays' op counters but does not compute it: it must equal the first.
 	Infer(x tensor.Vector, verify bool) (y tensor.Vector, ok bool)
 	// CanaryDivergence replays the golden canary vectors and returns the
 	// fraction whose outputs diverged from the known digital references.
@@ -39,7 +41,8 @@ type Pipeline interface {
 type BatchPipeline interface {
 	Pipeline
 	// InferBatch runs one inference per input, returning per-sample outputs
-	// and verify verdicts.
+	// and verify verdicts. Like Infer, a pure pipeline charges the verify
+	// re-read of the block without computing it.
 	InferBatch(xs []tensor.Vector, verify bool) (ys []tensor.Vector, oks []bool)
 }
 
@@ -212,7 +215,10 @@ func NewMLPPipelineFromState(golden *nn.MLP, canaryX []tensor.Vector, cfg MLPPip
 // Pure reports whether Infer is a fixed function of its input: no array
 // carries a fault hook and the periphery adds no read noise. Simulators
 // that share one pipeline across runs, or grade a repeated input once,
-// rely on it.
+// rely on it, and so does the verify read: on a pure pipeline the second
+// read of a pair would repeat the first bit for bit, so Infer and
+// InferBatch reuse the first read and only charge the second to the
+// arrays' op counters (the hardware still performs it).
 func (p *MLPPipeline) Pure() bool {
 	if p.cfg.Array.ReadNoise != 0 {
 		return false
@@ -231,8 +237,22 @@ func (p *MLPPipeline) Infer(x tensor.Vector, verify bool) (tensor.Vector, bool) 
 	if !verify {
 		return y, true
 	}
-	y2 := p.net.Forward(x).Clone()
+	y2 := y
+	if p.Pure() {
+		p.chargeReads(1)
+	} else {
+		y2 = p.net.Forward(x).Clone()
+	}
+	// On a pure pipeline relL2(y, y) is still computed: a NaN or Inf output
+	// fails verify either way.
 	return y2, relL2(y, y2) <= p.cfg.VerifyTol
+}
+
+// chargeReads counts n skipped forward reads on every physical array.
+func (p *MLPPipeline) chargeReads(n int) {
+	for _, arr := range p.arrays {
+		arr.Arr.ChargeForwards(n)
+	}
 }
 
 // InferBatch implements BatchPipeline: the block's MVMs execute as
@@ -240,7 +260,8 @@ func (p *MLPPipeline) Infer(x tensor.Vector, verify bool) (tensor.Vector, bool) 
 // one grid per layer for the whole block instead of one per request, with
 // Infer's verify discipline kept per sample: under verify the block is
 // read twice and each sample's pair is compared individually, so a
-// transient upset flags only the members it touched.
+// transient upset flags only the members it touched. A pure pipeline
+// charges the second block read without computing it, as Infer does.
 func (p *MLPPipeline) InferBatch(xs []tensor.Vector, verify bool) ([]tensor.Vector, []bool) {
 	oks := make([]bool, len(xs))
 	ys := p.net.ForwardBatch(xs)
@@ -250,7 +271,12 @@ func (p *MLPPipeline) InferBatch(xs []tensor.Vector, verify bool) ([]tensor.Vect
 		}
 		return ys, oks
 	}
-	ys2 := p.net.ForwardBatch(xs)
+	ys2 := ys
+	if p.Pure() {
+		p.chargeReads(len(xs))
+	} else {
+		ys2 = p.net.ForwardBatch(xs)
+	}
 	for i := range xs {
 		oks[i] = relL2(ys[i], ys2[i]) <= p.cfg.VerifyTol
 	}

@@ -76,6 +76,9 @@ type Service struct {
 	retries, hedges, fallbacks, recals atomic.Int64
 	suspectServed                      atomic.Int64
 	batches, coalesced                 atomic.Int64
+	// taken counts requests workers have taken off the queue: the arrival
+	// signal that tells a test a request has reached a worker.
+	taken atomic.Int64
 
 	// clock is the single source every deadline-relevant timestamp reads
 	// from: the wall clock in production, a Manual clock in deadline tests.
@@ -260,6 +263,7 @@ func (s *Service) worker() {
 		case <-s.stop:
 			return
 		case req := <-s.queue:
+			s.taken.Add(1)
 			if batching {
 				batch = s.gather(batch[:0], req)
 				s.serveBatch(batch)
@@ -284,6 +288,7 @@ func (s *Service) gather(batch []*request, first *request) []*request {
 	for len(batch) < max {
 		select {
 		case r := <-s.queue:
+			s.taken.Add(1)
 			batch = append(batch, r)
 			continue
 		default:
@@ -304,6 +309,7 @@ func (s *Service) gather(batch []*request, first *request) []*request {
 	for len(batch) < max {
 		select {
 		case r := <-s.queue:
+			s.taken.Add(1)
 			batch = append(batch, r)
 		case <-wait:
 			return batch
